@@ -19,20 +19,21 @@ type check = { c_name : string; c_status : status; c_detail : string }
 let check c_name c_status c_detail = { c_name; c_status; c_detail }
 
 let status_label = function Pass -> "PASS" | Warn -> "WARN" | Fail -> "FAIL"
+let counted n noun =
+  Printf.sprintf "%d %s%s" n noun (if n = 1 then "" else "s")
 
 let render checks =
   List.iter
     (fun c ->
-      Printf.printf "%s  %-24s %s\n" (status_label c.c_status) c.c_name
+      Printf.printf "%s  %-25s %s\n" (status_label c.c_status) c.c_name
         c.c_detail)
     checks;
   let count st = List.length (List.filter (fun c -> c.c_status = st) checks) in
   let fails = count Fail in
-  Printf.printf "doctor: %d check%s, %d passed, %d warning%s, %d failed\n"
-    (List.length checks)
-    (if List.length checks = 1 then "" else "s")
-    (count Pass) (count Warn)
-    (if count Warn = 1 then "" else "s")
+  Printf.printf "doctor: %s, %d passed, %s, %d failed\n"
+    (counted (List.length checks) "check")
+    (count Pass)
+    (counted (count Warn) "warning")
     fails;
   fails
 
@@ -125,8 +126,8 @@ let check_lossmap ~port =
              (if sites = 1 then "y" else "ies"))
       | Ok (_, (v :: _ as all)) ->
         check name Fail
-          (Printf.sprintf "%d violation%s; first: %s" (List.length all)
-             (if List.length all = 1 then "" else "s")
+          (Printf.sprintf "%s; first: %s"
+             (counted (List.length all) "violation")
              v)))
 
 let check_alerts ~port =
@@ -149,6 +150,46 @@ let check_alerts ~port =
              (String.concat ", " names))
       | Some _ -> check name Fail "malformed active member"))
 
+(* Series checks shared by the live (/series.json points) and history
+   (tsdb records) paths: [value] is an element's value, [range] its
+   (min, max). *)
+let check_up ~suffix ~value series =
+  let name = "federation up{site}" in
+  let sites =
+    List.filter_map
+      (fun (n, ls, xs) ->
+        if n <> "up" then None
+        else
+          Option.map
+            (fun site -> (site, List.rev xs))
+            (List.assoc_opt "site" ls))
+      series
+  in
+  let down =
+    List.filter_map
+      (fun (site, xs) ->
+        match xs with x :: _ when value x < 1.0 -> Some site | _ -> None)
+      sites
+  in
+  if sites = [] then check name Pass "no federated sites"
+  else if down = [] then
+    check name Pass (counted (List.length sites) "site" ^ " up" ^ suffix)
+  else check name Fail ("down" ^ suffix ^ ": " ^ String.concat ", " down)
+
+let check_cache ~noun ~range series =
+  let name = "cache hit-rate sanity" in
+  let ranges =
+    List.concat_map
+      (fun (n, _, xs) ->
+        if n = "flow_cache_hit_rate" then List.map range xs else [])
+      series
+  in
+  let bad = List.filter (fun (lo, hi) -> lo < 0.0 || hi > 1.0) ranges in
+  if ranges = [] then check name Pass "no cached lookups recorded"
+  else if bad = [] then
+    check name Pass (counted (List.length ranges) noun ^ " within [0, 1]")
+  else check name Fail (counted (List.length bad) noun ^ " outside [0, 1]")
+
 (* Series-backed checks share one scrape of /series.json. *)
 let check_series ~port =
   match fetch ~port "/series.json" with
@@ -164,56 +205,10 @@ let check_series ~port =
       [ check "series endpoint" Fail ("/series.json unparseable: " ^ msg) ]
     | Ok doc ->
       let all = Live.series_of_json doc in
-      let up =
-        List.filter_map
-          (fun (n, ls, pts) ->
-            if n = "up" then
-              Option.map
-                (fun site -> (site, List.rev pts))
-                (List.assoc_opt "site" ls)
-            else None)
-          all
-      in
-      let up_check =
-        let name = "federation up{site}" in
-        if up = [] then check name Pass "no federated sites"
-        else
-          let down =
-            List.filter_map
-              (fun (site, pts) ->
-                match pts with
-                | (_, v) :: _ when v < 1.0 -> Some site
-                | _ -> None)
-              up
-          in
-          if down = [] then
-            check name Pass
-              (Printf.sprintf "%d site%s up" (List.length up)
-                 (if List.length up = 1 then "" else "s"))
-          else
-            check name Fail ("down: " ^ String.concat ", " down)
-      in
-      let cache_check =
-        let name = "cache hit-rate sanity" in
-        let pts =
-          List.concat_map
-            (fun (n, _, pts) ->
-              if n = "flow_cache_hit_rate" then pts else [])
-            all
-        in
-        if pts = [] then check name Pass "no cached lookups recorded"
-        else
-          let bad = List.filter (fun (_, v) -> v < 0.0 || v > 1.0) pts in
-          if bad = [] then
-            check name Pass
-              (Printf.sprintf "%d point%s within [0, 1]" (List.length pts)
-                 (if List.length pts = 1 then "" else "s"))
-          else
-            check name Fail
-              (Printf.sprintf "%d point%s outside [0, 1]" (List.length bad)
-                 (if List.length bad = 1 then "" else "s"))
-      in
-      [ up_check; cache_check ])
+      [
+        check_up ~suffix:"" ~value:snd all;
+        check_cache ~noun:"point" ~range:(fun (_, v) -> (v, v)) all;
+      ])
 
 let live_checks ~port =
   [ check_endpoint ~port ~name:"service liveness" "/healthz" ]
@@ -224,229 +219,154 @@ let live_checks ~port =
 
 (* --- history checks (an on-disk tsdb directory) --------------------- *)
 
-let check_tsdb_segments dir =
-  let name = "tsdb segment sweep" in
-  match Obs.Tsdb.segments_in_dir dir with
+(* One sweep over either store's segments through the shared segment
+   reader: every record decoded and validated, nothing kept. *)
+let sweep_segments ~name ~tails ~segments_in_dir ~verify dir =
+  match segments_in_dir dir with
   | [] -> [ check name Warn (Printf.sprintf "no segments under %s" dir) ]
   | segments ->
-    let corrupt = ref [] in
-    let partial = ref [] in
-    let records = ref 0 in
+    let corrupt = ref [] and unsealed = ref [] and records = ref 0 in
     List.iter
       (fun path ->
-        match Obs.Tsdb.Segment.read_all path with
+        match verify path with
         | Error msg -> corrupt := (path, msg) :: !corrupt
-        | Ok (rs, dropped) ->
-          records := !records + List.length rs;
-          if dropped then partial := path :: !partial)
+        | Ok (st : Obs.Segment.status) ->
+          records := !records + st.records;
+          if not st.sealed then unsealed := (path, st.torn) :: !unsealed)
       segments;
     let sweep =
       match List.rev !corrupt with
       | [] ->
         check name Pass
-          (Printf.sprintf "%d segment%s, %d records valid"
-             (List.length segments)
-             (if List.length segments = 1 then "" else "s")
+          (Printf.sprintf "%s, %d records valid"
+             (counted (List.length segments) "segment")
              !records)
       | (path, msg) :: _ as all ->
         check name Fail
-          (Printf.sprintf "%d corrupt segment%s; first: %s (%s)"
-             (List.length all)
-             (if List.length all = 1 then "" else "s")
+          (Printf.sprintf "%s; first: %s (%s)"
+             (counted (List.length all) "corrupt segment")
              (Filename.basename path) msg)
     in
-    let tails =
-      match List.rev !partial with
-      | [] -> []
-      | ps ->
-        [
-          check "tsdb unsealed tails" Warn
-            (Printf.sprintf
-               "%d segment%s with a torn tail record (killed writer): %s"
-               (List.length ps)
-               (if List.length ps = 1 then "" else "s")
-               (String.concat ", " (List.map Filename.basename ps)));
-        ]
-    in
-    sweep :: tails
+    match List.rev !unsealed with
+    | [] -> [ sweep ]
+    | us ->
+      let torn = List.length (List.filter snd us) in
+      [
+        sweep;
+        check tails Warn
+          (Printf.sprintf "%s (killed writer; %s dropped): %s"
+             (counted (List.length us) "unsealed segment")
+             (counted torn "torn tail record")
+             (String.concat ", "
+                (List.map (fun (p, _) -> Filename.basename p) us)));
+      ]
 
 (* Conservation from persisted series alone: per (site, at, res) bucket,
    Σ ledger_offered_frames = Σ ledger_stored_frames +
    Σ loss_attributed_frames.  Works on raw points and on downsampled
    buckets alike, because compaction is sum-preserving and buckets the
    two sides of the identity identically. *)
-let check_history_conservation segments =
+let check_history_conservation groups =
   let name = "ledger conservation" in
-  match Obs.Tsdb.query segments with
-  | exception Obs.Tsdb.Corrupt msg -> check name Fail msg
-  | groups ->
-    let table = Hashtbl.create 64 in
-    let entry site at res =
-      let key = (site, at, res) in
-      match Hashtbl.find_opt table key with
-      | Some e -> e
-      | None ->
-        let e = (ref 0.0, ref 0.0, ref 0.0) in
-        Hashtbl.add table key e;
-        e
-    in
-    let saw_ledger = ref false in
-    List.iter
-      (fun (n, ls, records) ->
-        match List.assoc_opt "site" ls with
+  let table = Hashtbl.create 64 in
+  let entry site at res =
+    let key = (site, at, res) in
+    match Hashtbl.find_opt table key with
+    | Some e -> e
+    | None ->
+      let e = (ref 0.0, ref 0.0, ref 0.0) in
+      Hashtbl.add table key e;
+      e
+  in
+  let saw_ledger = ref false in
+  List.iter
+    (fun (n, ls, records) ->
+      match List.assoc_opt "site" ls with
+      | None -> ()
+      | Some site ->
+        let side =
+          match n with
+          | "ledger_offered_frames" -> Some `Offered
+          | "ledger_stored_frames" -> Some `Stored
+          | "loss_attributed_frames" -> Some `Attributed
+          | _ -> None
+        in
+        (match side with
         | None -> ()
-        | Some site ->
-          let side =
-            match n with
-            | "ledger_offered_frames" -> Some `Offered
-            | "ledger_stored_frames" -> Some `Stored
-            | "loss_attributed_frames" -> Some `Attributed
-            | _ -> None
-          in
-          (match side with
-          | None -> ()
-          | Some side ->
-            saw_ledger := true;
-            List.iter
-              (fun (r : Obs.Tsdb.record) ->
-                let offered, stored, attributed =
-                  entry site r.Obs.Tsdb.t_at r.Obs.Tsdb.t_res
-                in
-                let cell =
-                  match side with
-                  | `Offered -> offered
-                  | `Stored -> stored
-                  | `Attributed -> attributed
-                in
-                cell := !cell +. r.Obs.Tsdb.t_sum)
-              records))
-      groups;
-    if not !saw_ledger then
-      check name Warn "no ledger series in the history (older run?)"
-    else begin
-      let violations = ref [] in
-      let cells = ref 0 in
-      Hashtbl.iter
-        (fun (site, at, _) (offered, stored, attributed) ->
-          incr cells;
-          let residual = !offered -. !stored -. !attributed in
-          if not (conserved ~offered:!offered residual) then
-            violations :=
-              Printf.sprintf "site %s at %g: residual %g frames" site at
-                residual
-              :: !violations)
-        table;
-      match List.rev !violations with
-      | [] ->
-        check name Pass
-          (Printf.sprintf
-             "offered = stored + attributed over %d (site, time) cell%s"
-             !cells
-             (if !cells = 1 then "" else "s"))
-      | v :: _ as all ->
-        check name Fail
-          (Printf.sprintf "%d violation%s; first: %s" (List.length all)
-             (if List.length all = 1 then "" else "s")
-             v)
-    end
-
-let check_history_up segments =
-  let name = "federation up{site}" in
-  match Obs.Tsdb.query ~pred:(Obs.Tsdb.predicate ~name:"up" ()) segments with
-  | exception Obs.Tsdb.Corrupt msg -> check name Fail msg
-  | [] -> check name Pass "no federated sites"
-  | groups ->
-    let down =
-      List.filter_map
-        (fun (_, ls, records) ->
-          match (List.assoc_opt "site" ls, List.rev records) with
-          | Some site, last :: _ ->
-            let _, v = Obs.Tsdb.point_of_record last in
-            if v < 1.0 then Some site else None
-          | _ -> None)
-        groups
-    in
-    if down = [] then
+        | Some side ->
+          saw_ledger := true;
+          List.iter
+            (fun (r : Obs.Tsdb.record) ->
+              let offered, stored, attributed =
+                entry site r.Obs.Tsdb.t_at r.Obs.Tsdb.t_res
+              in
+              let cell =
+                match side with
+                | `Offered -> offered
+                | `Stored -> stored
+                | `Attributed -> attributed
+              in
+              cell := !cell +. r.Obs.Tsdb.t_sum)
+            records))
+    groups;
+  if not !saw_ledger then
+    check name Warn "no ledger series in the history (older run?)"
+  else begin
+    let violations = ref [] in
+    let cells = ref 0 in
+    Hashtbl.iter
+      (fun (site, at, _) (offered, stored, attributed) ->
+        incr cells;
+        let residual = !offered -. !stored -. !attributed in
+        if not (conserved ~offered:!offered residual) then
+          violations :=
+            Printf.sprintf "site %s at %g: residual %g frames" site at
+              residual
+            :: !violations)
+      table;
+    match List.rev !violations with
+    | [] ->
       check name Pass
-        (Printf.sprintf "%d site%s up at last scrape" (List.length groups)
-           (if List.length groups = 1 then "" else "s"))
-    else check name Fail ("down at last scrape: " ^ String.concat ", " down)
-
-let check_history_cache segments =
-  let name = "cache hit-rate sanity" in
-  match
-    Obs.Tsdb.query
-      ~pred:(Obs.Tsdb.predicate ~name:"flow_cache_hit_rate" ())
-      segments
-  with
-  | exception Obs.Tsdb.Corrupt msg -> check name Fail msg
-  | [] -> check name Pass "no cached lookups recorded"
-  | groups ->
-    let records = List.concat_map (fun (_, _, rs) -> rs) groups in
-    let bad =
-      List.filter
-        (fun (r : Obs.Tsdb.record) ->
-          r.Obs.Tsdb.t_min < 0.0 || r.Obs.Tsdb.t_max > 1.0)
-        records
-    in
-    if bad = [] then
-      check name Pass
-        (Printf.sprintf "%d record%s within [0, 1]" (List.length records)
-           (if List.length records = 1 then "" else "s"))
-    else
+        ("offered = stored + attributed over "
+        ^ counted !cells "(site, time) cell")
+    | v :: _ as all ->
       check name Fail
-        (Printf.sprintf "%d record%s outside [0, 1]" (List.length bad)
-           (if List.length bad = 1 then "" else "s"))
+        (Printf.sprintf "%s; first: %s"
+           (counted (List.length all) "violation")
+           v)
+  end
 
+(* The series checks share one scan, and run only when the sweep found
+   every segment readable: a corrupt one has already failed it. *)
 let history_checks ~dir =
-  let segments = Obs.Tsdb.segments_in_dir dir in
-  check_tsdb_segments dir
-  @
-  if segments = [] then []
-  else
-    [
-      check_history_conservation segments;
-      check_history_up segments;
-      check_history_cache segments;
-    ]
+  let sweep =
+    sweep_segments ~name:"tsdb segment sweep" ~tails:"tsdb unsealed tails"
+      ~segments_in_dir:Obs.Tsdb.segments_in_dir
+      ~verify:Obs.Tsdb.Segment.verify dir
+  in
+  match Obs.Tsdb.segments_in_dir dir with
+  | [] -> sweep
+  | segments -> (
+    match Obs.Tsdb.query segments with
+    | exception Obs.Tsdb.Corrupt _ -> sweep
+    | groups ->
+      sweep
+      @ [
+          check_history_conservation groups;
+          check_up ~suffix:" at last scrape"
+            ~value:(fun r -> snd (Obs.Tsdb.point_of_record r))
+            groups;
+          check_cache ~noun:"record"
+            ~range:(fun (r : Obs.Tsdb.record) -> (r.t_min, r.t_max))
+            groups;
+        ])
 
 (* --- optional flow-store sweep -------------------------------------- *)
 
 let flow_store_checks ~dir =
-  let name = "flow-store sweep" in
-  match Analysis.Flow_store.segments_in_dir dir with
-  | [] -> [ check name Warn (Printf.sprintf "no segments under %s" dir) ]
-  | segments ->
-    let corrupt = ref [] in
-    let records = ref 0 in
-    List.iter
-      (fun path ->
-        match Analysis.Flow_store.query [ path ] with
-        | result ->
-          records :=
-            !records
-            + result.Analysis.Flow_store.stats
-                .Analysis.Flow_store.records_scanned
-        | exception Analysis.Flow_store.Corrupt msg ->
-          corrupt := (path, msg) :: !corrupt)
-      segments;
-    (match List.rev !corrupt with
-    | [] ->
-      [
-        check name Pass
-          (Printf.sprintf "%d segment%s, %d records valid"
-             (List.length segments)
-             (if List.length segments = 1 then "" else "s")
-             !records);
-      ]
-    | (path, msg) :: _ as all ->
-      [
-        check name Fail
-          (Printf.sprintf "%d corrupt segment%s; first: %s (%s)"
-             (List.length all)
-             (if List.length all = 1 then "" else "s")
-             (Filename.basename path) msg);
-      ])
+  sweep_segments ~name:"flow-store sweep" ~tails:"flow-store unsealed tails"
+    ~segments_in_dir:Analysis.Flow_store.segments_in_dir
+    ~verify:Analysis.Flow_store.Segment.verify dir
 
 (* --- entry point ----------------------------------------------------- *)
 
@@ -457,7 +377,9 @@ let run ?live ?history ?flow_store () =
     @ match flow_store with Some dir -> flow_store_checks ~dir | None -> []
   in
   if checks = [] then begin
-    prerr_endline "doctor: nothing to check (need --live PORT and/or --history DIR)";
+    prerr_endline
+      "doctor: nothing to check (need --live PORT, --history DIR or \
+       --flow-store DIR)";
     2
   end
   else if render checks > 0 then 1

@@ -428,7 +428,8 @@ let weekly_cmd =
       "Stream every occasion's flow records to sorted binary segment files \
        under $(docv) as the occasions complete, spilling to disk whenever \
        the in-memory buffer exceeds $(b,--spill-threshold) records.  Query \
-       the store afterwards with the $(b,query) subcommand."
+       the store afterwards with the $(b,query) subcommand.  $(docv) must \
+       not already hold segments from an earlier run."
     in
     Arg.(value & opt (some string) None & info [ "flow-store" ] ~docv:"DIR" ~doc)
   in
@@ -512,6 +513,15 @@ let weekly_cmd =
         | Ok v -> Some v
         | Error msg -> failwith (flag ^ ": " ^ msg))
     in
+    (* First, so a directory holding an earlier run's segments is
+       refused before any service starts. *)
+    let store =
+      Option.map
+        (fun dir ->
+          Analysis.Flow_store.Writer.create ~spill_records:spill_threshold
+            ~dir ())
+        flow_store
+    in
     let tsdb_store =
       Option.map
         (fun dir ->
@@ -554,13 +564,6 @@ let weekly_cmd =
     in
     (with_domains domains @@ fun pool ->
     let builder = Analysis.Profile.Builder.create ~log:service_log () in
-    let store =
-      Option.map
-        (fun dir ->
-          Analysis.Flow_store.Writer.create ~spill_records:spill_threshold
-            ~dir ())
-        flow_store
-    in
     (* One simulated week: fresh engine/fabric/driver, one occasion.
        Independent across weeks, which is what lets the pipelined mode
        run week w+1 while week w is still being absorbed. *)

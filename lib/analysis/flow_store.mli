@@ -33,36 +33,37 @@ type record = {
 }
 
 exception Corrupt of string
-(** Raised when a segment file fails validation (bad magic, unsupported
-    version, truncation, trailing garbage, unsorted records); the
-    message names the file and the failing offset/record. *)
+(** {!Obs.Segment.Corrupt} itself, so one handler covers both stores.
+    Raised when a segment file fails validation (bad magic, unsupported
+    version, truncation of a sealed segment, trailing garbage, unsorted
+    records); the message names the file and the failing record. *)
 
 val proto_of_key : string -> string
 (** The transport token ([tcp]/[udp]/[icmp]/…) embedded in a flow key. *)
 
 module Segment : sig
-  (** One segment file: a fixed header (magic, version, record count)
-      followed by length-prefixed records sorted by [(r_key, r_seq)]. *)
+  (** One [.pwfs] segment file of the shared {!Obs.Segment} layer
+      ("PWFS" magic): length-prefixed records sorted strictly by
+      [(r_key, r_seq)].  A segment a killed writer left unsealed reads
+      as its complete record prefix. *)
 
   val write : string -> record list -> int
-  (** [write path records] sorts the records and writes one segment;
-      returns the file size in bytes. *)
+  (** Sort, write and seal one segment; returns the file size in bytes. *)
 
   type reader
-  (** A streaming cursor over one segment; holds one record of state. *)
 
   val open_reader : string -> reader
-  (** Validates the header.  @raise Corrupt on a malformed file. *)
-
   val next : reader -> record option
-  (** The next record in [(r_key, r_seq)] order, [None] at the end.
-      @raise Corrupt on truncation, trailing bytes or unsorted data. *)
-
   val close : reader -> unit
+
   val record_count : reader -> int
+  (** The sealed header's record count; for an unsealed segment, the
+      records read so far. *)
 
   val read_all : string -> (record list, string) result
   (** Whole-segment convenience read (tests, small segments). *)
+
+  val verify : string -> (Obs.Segment.status, string) result
 end
 
 module Writer : sig
@@ -72,11 +73,13 @@ module Writer : sig
 
   type t
 
-  val create : ?spill_records:int -> dir:string -> ?prefix:string -> unit -> t
+  val create : ?spill_records:int -> dir:string -> unit -> t
   (** Segments are written to [dir] (created if missing) as
-      [<prefix>-NNNNNN.pwfs], default prefix ["flows"].  [spill_records]
-      (default [200_000]) bounds the number of buffered records; the
-      buffer is flushed at group boundaries, never mid-group. *)
+      [flows-NNNNNN.pwfs].  [spill_records] (default [200_000]) bounds
+      the number of buffered records; the buffer is flushed at group
+      boundaries, never mid-group.
+      @raise Failure naming [dir] when it already holds [.pwfs]
+      segments: a second run would mix its flows with the first's. *)
 
   val add_shard : t -> site:string -> fraction:float -> Flows.Shard.t -> unit
   (** Append one capture sample's shard as the next group: each flow in
@@ -84,10 +87,6 @@ module Writer : sig
       contribution [Flows.merge] would apply for [fraction].  A
       non-empty shard with [fraction <= 0.0] is stored at weight 1.0 and
       counted via [analysis_unweighted_samples_total{stage="flow_store"}]. *)
-
-  val add_records : t -> record list -> unit
-  (** Append pre-weighted records (they keep their own [r_seq]); used by
-      segment compaction. *)
 
   val finish : t -> string list
   (** Flush the remaining buffer and return every segment path written,
@@ -100,15 +99,6 @@ end
 val segments_in_dir : string -> string list
 (** The [*.pwfs] files under a directory, sorted by name (write order,
     since segment names are zero-padded). *)
-
-val merge_segments : out:string -> string list -> string
-(** Compact several segments into one: records with equal
-    [(r_key, r_site)] collapse into a single record (sums in [r_seq]
-    order, min/max timestamps, or-ed RST, smallest [r_seq] kept).
-    Exact on the integer-weight path; for fractional weights compaction
-    may reassociate float additions, so compact either everything or
-    nothing when bit-stable totals across compactions matter.  Returns
-    [out]. *)
 
 type predicate = {
   q_since : float option;  (** keep flows with [r_last >= since] *)

@@ -2,10 +2,10 @@
     records with downsampling compaction.
 
     The weekly service survives restarts, so its operational series must
-    too.  A store is a directory of sorted, sealed [.pwts] segments
-    ("PWTS" magic, little-endian, record count back-patched on seal);
-    appends buffer in memory until {!flush} writes one new segment, and
-    every [compact_every] flushes {!compact} merges segments, applying
+    too.  A store is a directory of sorted, sealed [.pwts] segments of
+    the shared [Obs.Segment] layer ("PWTS" magic); appends buffer in
+    memory until {!flush} writes one new segment, and every
+    [compact_every] flushes {!compact} merges segments, applying
     retention and (when a [resolution] is set) folding raw points older
     than the newest bucket boundary into per-bucket aggregates whose
     count/sum/min/max/last equal a recomputation over the raw points
@@ -31,6 +31,7 @@ type record = {
 }
 
 exception Corrupt of string
+(** [Obs.Segment.Corrupt] itself, shared with the flow store. *)
 
 val raw_point : name:string -> ?labels:Registry.labels -> at:float -> float -> record
 
@@ -46,33 +47,28 @@ val record_end : record -> float
 val compare_record : record -> record -> int
 (** Segment sort order: name, labels, time, resolution. *)
 
-(** One on-disk segment file. *)
+(** One [.pwts] segment file; the reader validates, recovers and
+    raises as the shared [Obs.Segment] layer's does. *)
 module Segment : sig
   val write : string -> record list -> int
-  (** Write (and seal) a segment of the records in canonical order;
-      returns the record count. *)
+  (** Sort, write and seal a segment; returns the record count. *)
 
   type reader
 
   val open_reader : string -> reader
-  (** @raise Corrupt on bad magic, version or truncated header. *)
-
   val sealed : reader -> bool
 
   val recovered_partial : reader -> bool
   (** An unsealed segment's torn tail record was dropped. *)
 
   val next : reader -> record option
-  (** Stream records in stored order.
-      @raise Corrupt on a malformed record, a sort-order violation, or
-      truncation in a {e sealed} segment (an unsealed segment's torn
-      tail returns [None] and sets {!recovered_partial}). *)
-
   val close : reader -> unit
 
   val read_all : string -> (record list * bool, string) result
   (** Every record plus the recovered-partial flag, or the [Corrupt]
       message. *)
+
+  val verify : string -> (Segment.status, string) result
 end
 
 val scan : string list -> (record -> unit) -> int

@@ -1,5 +1,5 @@
-(* The on-disk flow store: segment format, spill writer, compaction and
-   the query engine's byte-identity contract against the in-memory
+(* The on-disk flow store: segment format, crash recovery, spill writer
+   and the query engine's byte-identity contract against the in-memory
    merge. *)
 
 module FS = Analysis.Flow_store
@@ -204,6 +204,73 @@ let test_segment_format_pinned () =
     Alcotest.(check bool) "rst" true r.FS.r_rst
   | Ok l -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length l))
 
+(* --- crash recovery -------------------------------------------------- *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* What a writer killed mid-write leaves: the header still carries the
+   unsealed count marker (bytes 6-9 = ff ff ff ff) and the final record
+   is cut short. *)
+let write_torn_segment path =
+  let sealed =
+    encode_segment
+      [
+        ("a|key", "STAR", 0, 1.0, 100.0, 0.0, 1.0, 0);
+        ("b|key", "STAR", 1, 2.0, 300.0, 2.0, 3.0, 1);
+        ("c|key", "WASH", 2, 4.0, 900.0, 4.0, 5.0, 0);
+      ]
+  in
+  let b = Bytes.of_string sealed in
+  Bytes.set_int32_le b 6 (-1l);
+  write_file path (Bytes.sub_string b 0 (Bytes.length b - 5))
+
+let test_segment_torn_tail_recovered () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "flows-000000.pwfs" in
+  write_torn_segment path;
+  (match FS.Segment.read_all path with
+  | Error e -> Alcotest.fail ("recovery read failed: " ^ e)
+  | Ok records ->
+    Alcotest.(check (list string))
+      "complete prefix survives, torn record dropped"
+      [ "a|key"; "b|key" ]
+      (List.map (fun r -> r.FS.r_key) records));
+  let res = FS.query [ path ] in
+  Alcotest.(check int) "query scans the prefix" 2
+    res.FS.stats.FS.records_scanned;
+  Alcotest.(check (list string)) "query answers over the prefix"
+    [ "b|key"; "a|key" ]
+    (List.map (fun s -> s.Flows.flow_key) res.FS.flows);
+  (* A sealed segment cut the same way is still corruption. *)
+  let _ = FS.Segment.write path [ fsrec ~seq:0 "a"; fsrec ~seq:1 "b" ] in
+  let whole = read_file path in
+  write_file path (String.sub whole 0 (String.length whole - 5));
+  check_error path "cut short at record 2/2"
+
+(* The doctor lives in the CLI, so this runs the built binary (a
+   dependency in test/dune). *)
+let test_doctor_warns_on_torn_tail () =
+  with_temp_dir @@ fun dir ->
+  write_torn_segment (Filename.concat dir "flows-000000.pwfs");
+  let out = Filename.concat dir "doctor.out" in
+  let cli = Filename.concat (Sys.getcwd ()) "../bin/patchwork_cli.exe" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s doctor --flow-store %s > %s" (Filename.quote cli)
+         (Filename.quote dir) (Filename.quote out))
+  in
+  let text = read_file out in
+  Sys.remove out;
+  Alcotest.(check int) ("exit 0 on a torn tail:\n" ^ text) 0 code;
+  Alcotest.(check bool) "sweep passes the prefix" true
+    (contains text "PASS  flow-store sweep ");
+  Alcotest.(check bool) "torn tail warned" true
+    (contains text "WARN  flow-store unsealed tails");
+  Alcotest.(check bool) "no failure" false (contains text "FAIL")
+
 (* --- writer + query: the byte-identity contract -------------------- *)
 
 (* Synthetic groups with plenty of byte-tied flows (same len, different
@@ -284,6 +351,19 @@ let test_writer_counters () =
     | _ -> false);
   Alcotest.(check (list string)) "segments_in_dir finds them" segs
     (FS.segments_in_dir dir)
+
+(* Segment names and seqs restart with every writer, so a second run
+   into the same directory would mix its flows with the first run's. *)
+let test_writer_refuses_used_dir () =
+  with_temp_dir @@ fun dir ->
+  let w = FS.Writer.create ~dir () in
+  FS.Writer.add_shard w ~site:"STAR" ~fraction:1.0 (shard_of [ record () ]);
+  let _ = FS.Writer.finish w in
+  match FS.Writer.create ~dir () with
+  | _ -> Alcotest.fail "a directory holding segments was accepted"
+  | exception Failure msg ->
+    Alcotest.(check bool) ("error names the directory: " ^ msg) true
+      (contains msg dir)
 
 let counter_value name =
   match
@@ -398,49 +478,6 @@ let test_query_topk () =
         (Printf.sprintf "top-%d total bytes" k)
         full.FS.stats.FS.total_bytes res.FS.stats.FS.total_bytes)
     [ 1; 5; 1000 ]
-
-(* --- compaction ---------------------------------------------------- *)
-
-let test_merge_segments () =
-  with_temp_dir @@ fun dir ->
-  (* Unit weights: compaction's reassociation is exact-integer, so the
-     compacted store must answer queries identically. *)
-  let shards =
-    List.map (fun (s, _) -> (s, 1.0)) (make_groups ~seed:11 ~flows:25 ~groups:5)
-  in
-  let w = FS.Writer.create ~spill_records:13 ~dir () in
-  List.iter
-    (fun (shard, _) -> FS.Writer.add_shard w ~site:"STAR" ~fraction:1.0 shard)
-    shards;
-  let segments = FS.Writer.finish w in
-  Alcotest.(check bool) "several segments to compact" true
-    (List.length segments > 1);
-  let out = Filename.concat dir "compacted.pwfs" in
-  let out' = FS.merge_segments ~out segments in
-  Alcotest.(check string) "returns out" out out';
-  let merged = FS.query [ out ] in
-  let original = FS.query segments in
-  Alcotest.(check bool) "compacted store answers identically" true
-    (merged.FS.flows = original.FS.flows);
-  Alcotest.(check bool) "identical to in-memory merge too" true
-    (merged.FS.flows = Flows.merge shards);
-  (* Compaction collapsed per-(key, site) contributions. *)
-  Alcotest.(check int) "one record per flow after compaction"
-    original.FS.stats.FS.distinct_flows merged.FS.stats.FS.records_scanned;
-  List.iter Sys.remove segments
-
-let test_merge_segments_keeps_sites () =
-  with_temp_dir @@ fun dir ->
-  let segments, star, wash = two_site_segments dir in
-  let out = Filename.concat dir "merged.pwfs" in
-  let _ = FS.merge_segments ~out segments in
-  let res = FS.query ~pred:(FS.predicate ~site:"STAR" ()) [ out ] in
-  Alcotest.(check bool) "site queries survive compaction" true
-    (res.FS.flows = Flows.merge [ (star, 0.5) ]);
-  let wash_res = FS.query ~pred:(FS.predicate ~site:"WASH" ()) [ out ] in
-  Alcotest.(check bool) "other site too" true
-    (wash_res.FS.flows = Flows.merge [ (wash, 1.0) ]);
-  List.iter Sys.remove segments
 
 (* --- profile ordering (satellite: deterministic ties) -------------- *)
 
@@ -577,21 +614,24 @@ let suites =
         Alcotest.test_case "invalid flags rejected" `Quick
           test_segment_invalid_flags_rejected;
         Alcotest.test_case "wire format pinned" `Quick test_segment_format_pinned;
+        Alcotest.test_case "unsealed torn tail recovered" `Quick
+          test_segment_torn_tail_recovered;
+        Alcotest.test_case "doctor warns on torn tail" `Quick
+          test_doctor_warns_on_torn_tail;
       ] );
     ( "analysis.flow_store.query",
       [
         Alcotest.test_case "byte-identical to memory" `Quick
           test_query_identical_to_memory;
         Alcotest.test_case "writer counters" `Quick test_writer_counters;
+        Alcotest.test_case "writer refuses a used dir" `Quick
+          test_writer_refuses_used_dir;
         Alcotest.test_case "unweighted counter" `Quick
           test_writer_unweighted_counter;
         Alcotest.test_case "site predicate" `Quick test_query_site_predicate;
         Alcotest.test_case "proto predicate" `Quick test_query_proto_predicate;
         Alcotest.test_case "time predicate" `Quick test_query_time_predicate;
         Alcotest.test_case "top-k" `Quick test_query_topk;
-        Alcotest.test_case "compaction" `Quick test_merge_segments;
-        Alcotest.test_case "compaction keeps sites" `Quick
-          test_merge_segments_keeps_sites;
         QCheck_alcotest.to_alcotest qcheck_spill_identity;
       ] );
     ( "analysis.flow_store.profile",
